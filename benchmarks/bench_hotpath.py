@@ -2,23 +2,15 @@
 
 Measures the quantized aggregation step (encode -> exchange -> fused
 decode-accumulate -> mean) on the paper's primary low-precision cell —
-QSGD 4-bit over the NCCL ring with K=4 ranks — in both execution modes:
+QSGD 4-bit over the NCCL ring with K=4 ranks.  Encode/decode scratch,
+packed words and the running aggregate all live in the exchange's
+reused :class:`EncodeWorkspace` arena, and the exchange folds each
+rank's decode straight into the accumulator
+(``Quantizer.sum_decoder``); the report keeps this row under the
+``workspace`` key.
 
-``workspace``
-    the zero-allocation path: encode/decode scratch, packed words, and
-    the running aggregate all live in a reused :class:`EncodeWorkspace`
-    arena, and the exchanges fold each rank's decode straight into the
-    accumulator (``decode_into(..., accumulate=True)`` /
-    ``Quantizer.sum_decoder``).
-
-``allocating``
-    the reference path (``TrainingConfig(workspace=False)``): every
-    encode/decode materializes fresh arrays.  Both modes produce
-    bit-identical trajectories (tests/comm/test_fused_exchange.py), so
-    the delta is pure allocator and memory-bandwidth cost.
-
-Two metrics per mode, measured in separate passes so instrumentation
-never pollutes the timing:
+Two metrics, measured in separate passes so instrumentation never
+pollutes the timing:
 
 * ``steps_per_sec`` — wall-clock rate of full aggregation steps over a
   five-layer AlexNet-like parameter inventory.
@@ -27,22 +19,21 @@ never pollutes the timing:
 
 A third pass guards the telemetry instrumentation: the per-call cost
 of the disabled (``NULL_TRACER``) span sites the hot path now crosses
-is measured directly and projected onto one workspace step; the run
-fails if that projection exceeds 2% of the measured step time.
+is measured directly and projected onto one step; the run fails if
+that projection exceeds 2% of the measured step time.
 
 The run happens under one *kernel backend* (``--backend`` forces
-``numba``/``cext``/``numpy``; the default is the registry's
-auto-selection, see :mod:`repro.quantization.kernels`).  Two extra
-report sections compare backends directly: ``backends`` re-times the
-workspace mode under every backend available in the environment, and
-``kernel_micro`` times the four hot kernels (bucketize, quantize,
-pack/unpack, fused decode-accumulate) in isolation on the dominant
-fc1 layer.
+``cext``/``numpy``; the default is the registry's auto-selection, see
+:mod:`repro.quantization.kernels`).  Two extra report sections compare
+backends directly: ``backends`` re-times the step under every backend
+available in the environment, and ``kernel_micro`` times the four hot
+kernels (bucketize, quantize, pack/unpack, fused decode-accumulate) in
+isolation on the dominant fc1 layer.
 
 The JSON report is written to ``BENCH_hotpath.json``.  With ``--gate
-BASELINE.json`` the script exits non-zero when the workspace mode's
-steps/sec regresses more than ``--gate-tolerance`` (default 20%) below
-the checked-in baseline — CI runs this as a smoke gate on every push.
+BASELINE.json`` the script exits non-zero when the step's steps/sec
+regresses more than ``--gate-tolerance`` (default 20%) below the
+checked-in baseline — CI runs this as a smoke gate on every push.
 
 Run with: PYTHONPATH=src python benchmarks/bench_hotpath.py [--quick]
 """
@@ -92,14 +83,13 @@ class _Param:
         self.kind = "param"
 
 
-def build_step(workspace: bool) -> SynchronousStep:
+def build_step() -> SynchronousStep:
     config = TrainingConfig(
         scheme="qsgd4",
         exchange="nccl",
         world_size=WORLD_SIZE,
         batch_size=16,
         seed=0,
-        workspace=workspace,
     )
     params = [_Param(n, s) for n, s in PARAM_SHAPES.items()]
     return SynchronousStep(config, params)
@@ -122,11 +112,11 @@ def run_steps(step: SynchronousStep, grads, n: int) -> None:
             step.aggregate(name, grads[name])
 
 
-def measure_mode(workspace: bool, steps: int, warmup: int) -> dict:
+def measure_step(steps: int, warmup: int) -> dict:
     grads = make_grads()
 
     # timing pass (no instrumentation)
-    step = build_step(workspace)
+    step = build_step()
     run_steps(step, grads, warmup)
     t0 = time.perf_counter()
     run_steps(step, grads, steps)
@@ -134,7 +124,7 @@ def measure_mode(workspace: bool, steps: int, warmup: int) -> dict:
 
     # allocation pass: tracemalloc slows execution, so it runs
     # separately and only the byte counts are kept
-    step = build_step(workspace)
+    step = build_step()
     run_steps(step, grads, warmup)  # arenas reach steady state first
     tracemalloc.start()
     alloc_steps = max(1, min(steps, 10))
@@ -154,11 +144,11 @@ def measure_mode(workspace: bool, steps: int, warmup: int) -> dict:
 
 
 def measure_backends(steps: int, warmup: int) -> dict:
-    """Workspace-mode throughput under every available kernel backend."""
+    """Step throughput under every available kernel backend."""
     rows = {}
     for name in kernels.available_backends():
         with kernels.use_backend(name):
-            rows[name] = measure_mode(True, steps, warmup)
+            rows[name] = measure_step(steps, warmup)
         print(
             f"backend {name:7s} {rows[name]['steps_per_sec']:8.2f} steps/s"
         )
@@ -430,20 +420,12 @@ def main(argv: list[str] | None = None) -> int:
         kernels.set_backend(args.backend)
     print(f"kernel backend: {kernels.backend_name()}")
 
-    results = {}
-    for label, use_ws in (("workspace", True), ("allocating", False)):
-        results[label] = measure_mode(use_ws, steps, warmup)
-        print(
-            f"{label:11s} {results[label]['steps_per_sec']:8.2f} steps/s  "
-            f"{results[label]['alloc_bytes_per_step']:>12,d} B/step"
-        )
-
-    ws, alloc = results["workspace"], results["allocating"]
-    speedup = ws["steps_per_sec"] / alloc["steps_per_sec"]
-    alloc_drop = alloc["alloc_bytes_per_step"] / max(
-        1, ws["alloc_bytes_per_step"]
+    ws = measure_step(steps, warmup)
+    results = {"workspace": ws}
+    print(
+        f"workspace   {ws['steps_per_sec']:8.2f} steps/s  "
+        f"{ws['alloc_bytes_per_step']:>12,d} B/step"
     )
-    print(f"speedup     {speedup:8.2f}x   alloc drop {alloc_drop:,.1f}x")
 
     backend_rows = measure_backends(steps, warmup)
     micro = measure_kernel_micro(repeats=20 if args.quick else 100)
@@ -458,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     fraction = tracer_overhead["overhead_fraction_of_step"]
     print(
         f"null tracer {tracer_overhead['null_span_ns']:8.0f} ns/span  "
-        f"{fraction:.3%} of a workspace step"
+        f"{fraction:.3%} of a step"
     )
 
     report = {
@@ -475,8 +457,6 @@ def main(argv: list[str] | None = None) -> int:
         "numpy": np.__version__,
         "kernel_backend": kernels.backend_name(),
         "results": results,
-        "speedup_vs_allocating": speedup,
-        "alloc_drop_vs_allocating": alloc_drop,
         "backends": backend_rows,
         "kernel_micro": micro,
         "null_tracer": tracer_overhead,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..quantization.base import Quantizer
-from ..quantization.workspace import EncodeWorkspace
 from .base import ExchangeResult, GradientExchange
 
 __all__ = ["AllToAllBroadcast"]
@@ -29,44 +28,17 @@ class AllToAllBroadcast(GradientExchange):
         tensors: list[np.ndarray],
         codec: Quantizer,
         rng: np.random.Generator,
-        workspace: EncodeWorkspace | None = None,
     ) -> ExchangeResult:
         shape = self._check_inputs(tensors)
-        ws = workspace
-        need_local = ws is None or codec.requires_error_feedback
-        if need_local:
-            if ws is None:
-                aggregate = np.zeros(shape, dtype=np.float32)
-            else:
-                aggregate = ws.zeros("a2a.agg", shape)
-            decoder = None
-        else:
-            # fused decode-accumulate: same rank-order summation as the
-            # materializing path, hence bit-identical
-            decoder = codec.sum_decoder(shape, ws)
-        decoded_local: list[np.ndarray] | None = [] if need_local else None
-        tracer = self.tracer
-        for rank, tensor in enumerate(tensors):
-            with tracer.span("encode", rank):
-                message = codec.encode_into(
-                    np.asarray(tensor, dtype=np.float32), rng, ws
-                )
-            self._count_encode(message.nbytes, key)
+
+        def broadcast(rank: int, nbytes: int) -> None:
             for peer in range(self.world_size):
-                self.traffic.record(rank, peer, message.nbytes, tag=key)
-            if need_local:
-                with tracer.span("decode", rank):
-                    if ws is None:
-                        decoded = codec.decode(message)
-                    else:
-                        decoded = ws.array(("a2a.dl", rank), shape)
-                        codec.decode_into(message, decoded, workspace=ws)
-                    decoded_local.append(decoded)
-                    aggregate += decoded
-            else:
-                with tracer.span("decode", rank):
-                    decoder.add(message)
-            self._count_decode(message.nbytes, key)
-        if decoder is not None:
-            aggregate = decoder.result()
+                self.traffic.record(rank, peer, nbytes, tag=key)
+
+        decoded_local = self._local_images(codec, shape)
+        aggregate = self._reduce(
+            key,
+            [np.asarray(t, dtype=np.float32) for t in tensors],
+            codec, rng, send=broadcast, images=decoded_local,
+        )
         return ExchangeResult(aggregate=aggregate, decoded_local=decoded_local)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..quantization.base import Quantizer
+from ..quantization.base import EncodedTensor, Quantizer
 from ..quantization.workspace import EncodeWorkspace
 from ..telemetry.tracer import NULL_TRACER
 
@@ -29,16 +29,16 @@ class ExchangeResult:
 
     Attributes:
         aggregate: the summed gradient, identical at every rank (the
-            synchronous-SGD invariant; tests assert it).  When the
-            exchange ran with a workspace, this array aliases an arena
-            buffer and is valid until the next exchange on the same
-            workspace — consume (or copy) it before then.
+            synchronous-SGD invariant; tests assert it).  It aliases
+            the exchange's arena and is valid until the next
+            :meth:`GradientExchange.exchange` call on the same
+            exchange — consume (or copy) it before then.
         decoded_local: per rank, what that rank's own contribution
-            looked like after its quantization round-trip.  The trainer
-            uses this to update error-feedback residuals.  ``None``
-            when the exchange ran with a workspace and the codec does
-            not require error feedback: the round-trip images are then
-            folded straight into the aggregate (fused decode-
+            looked like after its quantization round-trip, present if
+            and only if ``codec.requires_error_feedback`` (the trainer
+            updates the residuals from it; arena-backed like
+            ``aggregate``).  Otherwise ``None``: the round-trip images
+            are folded straight into the aggregate (fused decode-
             accumulate) and never materialized.
     """
 
@@ -51,7 +51,11 @@ class GradientExchange(abc.ABC):
 
     Instances are stateful only where the real system is stateful
     (e.g. the MPI path's aggregator-side error feedback); all traffic
-    is recorded into :attr:`traffic`.
+    is recorded into :attr:`traffic`.  Each exchange owns one
+    :class:`EncodeWorkspace` (:attr:`workspace`): every encode, decode
+    and sum runs in its reused buffers, so a steady-state exchange
+    allocates nothing.  The arena is not thread-safe — drive one
+    exchange from one thread.
     """
 
     name: str = "exchange"
@@ -61,6 +65,7 @@ class GradientExchange(abc.ABC):
             raise ValueError(f"world_size must be >= 1, got {world_size}")
         self.world_size = world_size
         self.traffic = LinkTraffic()
+        self.workspace = EncodeWorkspace()
         # telemetry handle, installed by SynchronousStep when tracing
         # is on; the default null tracer makes every span a shared
         # no-op, so untraced exchanges pay only the call sites
@@ -83,6 +88,94 @@ class GradientExchange(abc.ABC):
         if sink is not None:
             sink.count_decode(nbytes, key or None)
 
+    def _encode(
+        self,
+        key: str,
+        rank: int,
+        tensor: np.ndarray,
+        codec: Quantizer,
+        rng: np.random.Generator,
+    ) -> EncodedTensor:
+        """Encode one rank's contribution into the arena (traced, counted).
+
+        The message aliases arena buffers: decode it before the next
+        encode.
+        """
+        with self.tracer.span("encode", rank):
+            message = codec.encode_into(tensor, rng, self.workspace)
+        self._count_encode(message.nbytes, key)
+        return message
+
+    def _decode(
+        self,
+        key: str,
+        rank: int,
+        message: EncodedTensor,
+        codec: Quantizer,
+        total,
+        image: np.ndarray | None = None,
+    ) -> None:
+        """Fold one rank's message into the running sum ``total``.
+
+        Without ``image``, ``total`` is the codec's
+        :class:`~repro.quantization.base.SumDecoder` (fused decode-
+        accumulate).  With ``image``, the message first decodes into
+        that buffer — the rank's round-trip image — and ``total`` is an
+        array the image is then added to (``None``: added nowhere).
+        Both fold the same operands in the same order, so they sum
+        bit-identically to ``zeros + decode(message_r)`` in rank order.
+        """
+        with self.tracer.span("decode", rank):
+            if image is None:
+                total.add(message)
+            else:
+                codec.decode_into(message, image, workspace=self.workspace)
+                if total is not None:
+                    total += image
+        self._count_decode(message.nbytes, key)
+
+    def _reduce(
+        self,
+        key: str,
+        parts: list[np.ndarray],
+        codec: Quantizer,
+        rng: np.random.Generator,
+        send,
+        images: list[np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Encode every rank's part and decode-sum them in rank order.
+
+        ``send(rank, nbytes)`` records each message's traffic.  With
+        ``images`` (one buffer per rank, kept for error feedback) the
+        round-trips land there and are summed in a zeroed arena array;
+        without, they fold into the codec's fused sum decoder.  The
+        returned sum aliases the arena.
+        """
+        shape = parts[0].shape
+        if images is None:
+            total = codec.sum_decoder(shape, self.workspace)
+        else:
+            total = self.workspace.zeros((self.name, "sum"), shape)
+        for rank, part in enumerate(parts):
+            message = self._encode(key, rank, part, codec, rng)
+            send(rank, message.nbytes)
+            self._decode(
+                key, rank, message, codec, total,
+                None if images is None else images[rank],
+            )
+        return total if images is not None else total.result()
+
+    def _local_images(
+        self, codec: Quantizer, shape: tuple[int, ...]
+    ) -> list[np.ndarray] | None:
+        """Per-rank round-trip buffers, kept only for error feedback."""
+        if not codec.requires_error_feedback:
+            return None
+        return [
+            self.workspace.array((self.name, "local", rank), shape)
+            for rank in range(self.world_size)
+        ]
+
     @abc.abstractmethod
     def exchange(
         self,
@@ -90,9 +183,12 @@ class GradientExchange(abc.ABC):
         tensors: list[np.ndarray],
         codec: Quantizer,
         rng: np.random.Generator,
-        workspace: EncodeWorkspace | None = None,
     ) -> ExchangeResult:
         """Aggregate one gradient tensor across all ranks.
+
+        Every rank's contribution is encoded and decode-summed in rank
+        order in this exchange's arena; the returned arrays alias it
+        until the next ``exchange()`` call on this object.
 
         Args:
             key: stable stream identifier (parameter name); collectives
@@ -100,15 +196,6 @@ class GradientExchange(abc.ABC):
             tensors: one gradient per rank, all of identical shape.
             codec: the quantizer applied on the wire.
             rng: randomness source for stochastic quantizers.
-            workspace: scratch arena for the zero-allocation hot path.
-                With a workspace, encode/decode run through the codec's
-                ``*_into`` kernels and per-rank decodes are fused into
-                a single running accumulator (``decode_into(...,
-                accumulate=True)``), preserving the exact summation
-                order of the allocating path — results are
-                bit-identical either way, and the recorded wire bytes
-                never change.  Not thread-safe: one workspace per
-                exchanging thread.
         """
 
     def _check_inputs(self, tensors: list[np.ndarray]) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..quantization.base import ErrorFeedback, Quantizer
 from ..quantization.fullprec import FullPrecision
-from ..quantization.workspace import EncodeWorkspace
 from .base import ExchangeResult, GradientExchange
 from .topology import partition_ranges
 
@@ -65,64 +64,34 @@ class MpiReduceBroadcast(GradientExchange):
         tensors: list[np.ndarray],
         codec: Quantizer,
         rng: np.random.Generator,
-        workspace: EncodeWorkspace | None = None,
     ) -> ExchangeResult:
         shape = self._check_inputs(tensors)
         rows = shape[0] if shape else 1
         matrices = [
             np.asarray(t, dtype=np.float32).reshape(rows, -1) for t in tensors
         ]
-        n_cols = matrices[0].shape[1]
-        ranges = partition_ranges(n_cols, self.world_size)
-        ws = workspace
-        # round-trip images are only materialized when the trainer
-        # needs them for error feedback (or on the allocating path)
-        need_local = ws is None or codec.requires_error_feedback
-        if ws is None:
-            decoded_local = [np.empty_like(m) for m in matrices]
-            aggregate = np.empty_like(matrices[0])
-        else:
-            if need_local:
-                decoded_local = [
-                    ws.array(("mpi.dl", rank), matrices[0].shape)
-                    for rank in range(self.world_size)
-                ]
-            else:
-                decoded_local = None
-            aggregate = ws.array("mpi.agg", matrices[0].shape)
+        ranges = partition_ranges(matrices[0].shape[1], self.world_size)
+        decoded_local = self._local_images(codec, matrices[0].shape)
+        aggregate = self.workspace.array("mpi.agg", matrices[0].shape)
 
-        tracer = self.tracer
         for owner, (lo, hi) in enumerate(ranges):
             if lo == hi:
                 continue
             # reduce phase: every rank ships its quantized range to the
-            # owner, which folds each decode straight into the running
-            # sum — same per-rank summation order as materialize-then-
-            # add, so the aggregate is bit-identical
-            if need_local:
-                if ws is None:
-                    owner_sum = np.zeros((rows, hi - lo), dtype=np.float32)
-                else:
-                    owner_sum = ws.zeros("mpi.osum", (rows, hi - lo))
-                decoder = None
-            else:
-                decoder = codec.sum_decoder((rows, hi - lo), ws)
-            for rank, matrix in enumerate(matrices):
-                with tracer.span("encode", rank):
-                    message = codec.encode_into(matrix[:, lo:hi], rng, ws)
-                self._count_encode(message.nbytes, key)
-                self.traffic.record(rank, owner, message.nbytes, tag=key)
-                if need_local:
-                    part = decoded_local[rank][:, lo:hi]
-                    with tracer.span("decode", rank):
-                        codec.decode_into(message, part, workspace=ws)
-                        owner_sum += part
-                else:
-                    with tracer.span("decode", rank):
-                        decoder.add(message)
-                self._count_decode(message.nbytes, key)
-            if decoder is not None:
-                owner_sum = decoder.result()
+            # owner, which folds each decode into the running sum
+            owner_sum = self._reduce(
+                key,
+                [matrix[:, lo:hi] for matrix in matrices],
+                codec, rng,
+                send=lambda rank, nbytes: self.traffic.record(
+                    rank, owner, nbytes, tag=key
+                ),
+                images=(
+                    None
+                    if decoded_local is None
+                    else [local[:, lo:hi] for local in decoded_local]
+                ),
+            )
 
             # broadcast phase: owner ships the aggregated range back
             broadcast_codec = self._broadcast_codec(codec, owner)
@@ -130,25 +99,22 @@ class MpiReduceBroadcast(GradientExchange):
             if broadcast_codec is None:
                 target[...] = owner_sum
                 nbytes = self._fullprec.encoded_nbytes(owner_sum.shape)
-            elif isinstance(broadcast_codec, ErrorFeedback):
-                with tracer.span("encode", owner):
-                    message = broadcast_codec.encode(
-                        f"{key}/range{owner}", owner_sum, rng, workspace=ws
-                    )
-                self._count_encode(message.nbytes, key)
-                with tracer.span("decode", owner):
-                    broadcast_codec.quantizer.decode_into(
-                        message, target, workspace=ws
-                    )
-                self._count_decode(message.nbytes, key)
-                nbytes = message.nbytes
             else:
-                with tracer.span("encode", owner):
-                    message = broadcast_codec.encode_into(owner_sum, rng, ws)
-                self._count_encode(message.nbytes, key)
-                with tracer.span("decode", owner):
-                    broadcast_codec.decode_into(message, target, workspace=ws)
-                self._count_decode(message.nbytes, key)
+                if isinstance(broadcast_codec, ErrorFeedback):
+                    with self.tracer.span("encode", owner):
+                        message = broadcast_codec.encode(
+                            f"{key}/range{owner}", owner_sum, rng,
+                            workspace=self.workspace,
+                        )
+                    self._count_encode(message.nbytes, key)
+                    broadcast_codec = broadcast_codec.quantizer
+                else:
+                    message = self._encode(
+                        key, owner, owner_sum, broadcast_codec, rng
+                    )
+                self._decode(
+                    key, owner, message, broadcast_codec, None, image=target
+                )
                 nbytes = message.nbytes
             for rank in range(self.world_size):
                 self.traffic.record(owner, rank, nbytes, tag=key)
@@ -156,9 +122,9 @@ class MpiReduceBroadcast(GradientExchange):
         return ExchangeResult(
             aggregate=aggregate.reshape(shape),
             decoded_local=(
-                [d.reshape(shape) for d in decoded_local]
-                if decoded_local is not None
-                else None
+                None
+                if decoded_local is None
+                else [local.reshape(shape) for local in decoded_local]
             ),
         )
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from ..quantization.base import Quantizer
 from ..quantization.fullprec import FullPrecision
-from ..quantization.workspace import EncodeWorkspace
 from .base import ExchangeResult, GradientExchange
 from .topology import ring_successor
 
@@ -61,79 +60,27 @@ class NcclRingAllreduce(GradientExchange):
         tensors: list[np.ndarray],
         codec: Quantizer,
         rng: np.random.Generator,
-        workspace: EncodeWorkspace | None = None,
     ) -> ExchangeResult:
         shape = self._check_inputs(tensors)
         inputs = [np.asarray(t, dtype=np.float32) for t in tensors]
-        ws = workspace
-        tracer = self.tracer
-
-        if ws is None:
-            if isinstance(codec, FullPrecision):
-                decoded_local = inputs
-                payload_bytes = codec.encoded_nbytes(inputs[0].shape)
-            else:
-                # simulated low-precision NCCL: local round-trip, exact sum
-                decoded_local = []
-                payload_bytes = 0
-                for rank, tensor in enumerate(inputs):
-                    with tracer.span("encode", rank):
-                        message = codec.encode(tensor, rng)
-                    self._count_encode(message.nbytes, key)
-                    payload_bytes = message.nbytes
-                    with tracer.span("decode", rank):
-                        decoded_local.append(codec.decode(message))
-                    self._count_decode(message.nbytes, key)
-            aggregate = np.zeros(shape, dtype=np.float32)
-            for decoded in decoded_local:
-                aggregate += decoded
-            self._record_ring_traffic(key, payload_bytes)
-            return ExchangeResult(
-                aggregate=aggregate, decoded_local=list(decoded_local)
-            )
-
-        # workspace path: fuse each rank's round-trip decode into the
-        # running accumulator in rank order — the exact summation order
-        # of the allocating path above, so the sum is bit-identical
         if isinstance(codec, FullPrecision):
-            aggregate = ws.zeros("nccl.agg", shape)
+            # NCCL's native sum: exact, nothing is encoded
+            aggregate = self.workspace.zeros("nccl.agg", shape)
             for tensor in inputs:
                 aggregate += tensor
-            payload_bytes = codec.encoded_nbytes(shape)
-            decoded_local: list[np.ndarray] | None = inputs
-        elif codec.requires_error_feedback:
-            # round-trip images are needed for the residual update
-            aggregate = ws.zeros("nccl.agg", shape)
-            decoded_local = [
-                ws.array(("nccl.dl", rank), shape)
-                for rank in range(self.world_size)
-            ]
-            payload_bytes = 0
-            for rank, tensor in enumerate(inputs):
-                with tracer.span("encode", rank):
-                    message = codec.encode_into(tensor, rng, ws)
-                self._count_encode(message.nbytes, key)
-                payload_bytes = message.nbytes
-                with tracer.span("decode", rank):
-                    codec.decode_into(
-                        message, decoded_local[rank], workspace=ws
-                    )
-                    aggregate += decoded_local[rank]
-                self._count_decode(message.nbytes, key)
-        else:
-            decoded_local = None
-            payload_bytes = 0
-            decoder = codec.sum_decoder(shape, ws)
-            for rank, tensor in enumerate(inputs):
-                with tracer.span("encode", rank):
-                    message = codec.encode_into(tensor, rng, ws)
-                self._count_encode(message.nbytes, key)
-                payload_bytes = message.nbytes
-                with tracer.span("decode", rank):
-                    decoder.add(message)
-                self._count_decode(message.nbytes, key)
-            aggregate = decoder.result()
-        self._record_ring_traffic(key, payload_bytes)
+            self._record_ring_traffic(key, codec.encoded_nbytes(shape))
+            return ExchangeResult(aggregate=aggregate, decoded_local=None)
+
+        # simulated low-precision NCCL: each rank's local round-trip,
+        # summed exactly; the ring carries one quantized payload size
+        payload = []
+        decoded_local = self._local_images(codec, shape)
+        aggregate = self._reduce(
+            key, inputs, codec, rng,
+            send=lambda rank, nbytes: payload.append(nbytes),
+            images=decoded_local,
+        )
+        self._record_ring_traffic(key, payload[-1])
         return ExchangeResult(
             aggregate=aggregate, decoded_local=decoded_local
         )

@@ -46,8 +46,10 @@ FORMAT_VERSION = 1
 #: config fields that define the numeric trajectory; a checkpoint only
 #: restores into a trainer whose config matches on all of them.  The
 #: engine is deliberately absent (sequential and threaded runs are
-#: bit-identical, so resuming on the other engine is legal), as are the
-#: workspace switch and every fault/retry/telemetry knob.
+#: bit-identical, so resuming on the other engine is legal), as is
+#: every fault/retry/telemetry knob.  Fields a saved config carries but
+#: this version no longer has (e.g. the retired ``workspace`` switch)
+#: are dropped on load by :func:`config_from_dict`.
 IDENTITY_FIELDS = (
     "scheme",
     "bucket_size",

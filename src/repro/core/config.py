@@ -51,11 +51,6 @@ class TrainingConfig:
         seed: seed for quantization randomness and shuffling.
         requantize_broadcast: whether the MPI path re-quantizes
             aggregated ranges before broadcast (CNTK behaviour).
-        workspace: reuse cached encode/decode scratch buffers across
-            steps (the zero-allocation hot path, with fused decode-
-            accumulate in the exchanges).  Bit-identical to the
-            allocating path; exists as a switch so benchmarks can
-            compare the two.
         passthrough_coverage: fraction of parameters that must stay
             quantized when choosing the small-matrix threshold.
         norm / variant: QSGD scaling and level-layout options.
@@ -128,7 +123,6 @@ class TrainingConfig:
     weight_decay: float = 0.0
     seed: int = 0
     requantize_broadcast: bool = True
-    workspace: bool = True
     passthrough_coverage: float = 0.99
     norm: str = "inf"
     variant: str = "sign"

@@ -192,8 +192,8 @@ class SumDecoder:
     in call order (including the initial ``0 + x`` on the first add, so
     signed zeros match the materializing path bit-for-bit); ``result``
     returns the accumulated tensor.  The returned array lives in the
-    workspace arena when one is provided and is valid until the next
-    decoder on the same workspace.
+    workspace arena (a private one when none is given) and is valid
+    until the next decoder on the same workspace.
     """
 
     def __init__(
@@ -204,11 +204,10 @@ class SumDecoder:
     ):
         self.codec = codec
         self.shape = tuple(shape)
-        self.workspace = workspace
-        if workspace is None:
-            self._acc = np.zeros(self.shape, dtype=np.float32)
-        else:
-            self._acc = workspace.zeros("sumdec.acc", self.shape)
+        self.workspace = (
+            workspace if workspace is not None else EncodeWorkspace()
+        )
+        self._acc = self.workspace.zeros("sumdec.acc", self.shape)
 
     def add(self, message: EncodedTensor) -> None:
         """Fold one message's decoded image into the running sum."""
@@ -217,7 +216,7 @@ class SumDecoder:
         )
 
     def result(self) -> np.ndarray:
-        """The accumulated sum (arena-backed when a workspace is set)."""
+        """The accumulated sum (arena-backed)."""
         return self._acc
 
 
@@ -246,7 +245,9 @@ class BucketSumDecoder(SumDecoder):
     ):
         self.codec = codec
         self.shape = tuple(shape)
-        self.workspace = workspace
+        self.workspace = (
+            workspace if workspace is not None else EncodeWorkspace()
+        )
         self._acc = None  # allocated lazily: geometry comes from msg 0
 
     def add(self, message: EncodedTensor) -> None:
@@ -256,12 +257,9 @@ class BucketSumDecoder(SumDecoder):
             return
         values = self.codec._decode_values(message, self.workspace)
         if self._acc is None:
-            if self.workspace is None:
-                self._acc = np.zeros(values.shape, dtype=np.float32)
-            else:
-                self._acc = self.workspace.zeros(
-                    "sumdec.bucket_acc", values.shape
-                )
+            self._acc = self.workspace.zeros(
+                "sumdec.bucket_acc", values.shape
+            )
         elif self._acc.shape != values.shape:
             raise ValueError(
                 f"message bucket geometry {values.shape} does not match "
@@ -273,10 +271,7 @@ class BucketSumDecoder(SumDecoder):
     def result(self) -> np.ndarray:
         from .bucketing import from_buckets_into
 
-        if self.workspace is None:
-            out = np.empty(self.shape, dtype=np.float32)
-        else:
-            out = self.workspace.array("sumdec.out", self.shape)
+        out = self.workspace.array("sumdec.out", self.shape)
         if self._acc is None:  # no messages were added
             out.fill(0.0)
             return out
@@ -313,22 +308,18 @@ class ErrorFeedback:
     ) -> EncodedTensor:
         """Encode ``grad`` for stream ``key`` with error correction.
 
-        With a ``workspace``, the corrected gradient and the round-trip
-        decode live in arena scratch and the residual is updated in
-        place, so repeated calls allocate nothing.
+        The corrected gradient and the round-trip decode live in arena
+        scratch (a private arena when no ``workspace`` is given) and
+        the residual is updated in place, so repeated calls on one
+        workspace allocate nothing.  The message aliases the arena.
         """
+        ws = workspace if workspace is not None else EncodeWorkspace()
         residual = self.residual(key, grad.shape)
-        if workspace is None:
-            corrected = grad.astype(np.float32, copy=False) + residual
-            message = self.quantizer.encode(corrected, rng)
-            decoded = self.quantizer.decode(message)
-            self._residuals[key] = corrected - decoded
-            return message
-        corrected = workspace.array("ef.corrected", grad.shape)
-        np.add(grad, residual, out=corrected)
-        message = self.quantizer.encode_into(corrected, rng, workspace)
-        decoded = workspace.array("ef.decoded", grad.shape)
-        self.quantizer.decode_into(message, decoded, workspace=workspace)
+        corrected = ws.array("ef.corrected", grad.shape)
+        np.add(grad.astype(np.float32, copy=False), residual, out=corrected)
+        message = self.quantizer.encode_into(corrected, rng, ws)
+        decoded = ws.array("ef.decoded", grad.shape)
+        self.quantizer.decode_into(message, decoded, workspace=ws)
         np.subtract(corrected, decoded, out=residual)
         return message
 

@@ -38,10 +38,9 @@ class FullPrecision(Quantizer):
         rng: np.random.Generator | None = None,
         workspace: EncodeWorkspace | None = None,
     ) -> EncodedTensor:
-        if workspace is None:
-            return self.encode(grad, rng)
+        ws = workspace if workspace is not None else EncodeWorkspace()
         grad = np.asarray(grad)
-        values = workspace.array("fp.values", grad.size)
+        values = ws.array("fp.values", grad.size)
         values.reshape(grad.shape)[...] = grad
         return EncodedTensor(
             scheme=self.name, shape=grad.shape, payload={"values": values}

@@ -6,24 +6,19 @@ decode-accumulate behind :class:`~repro.quantization.base.
 BucketSumDecoder` — are provided by interchangeable *backends* with
 identical signatures and byte-for-byte identical output:
 
-``numba``
-    ``@njit(cache=True)``-compiled loop kernels (:mod:`._numba`).
-    Available when the optional ``numba`` dependency is installed
-    (``pip install repro[kernels]``).
 ``cext``
     ``_kernels.c`` compiled on first use with the system C compiler
     and called through ctypes (:mod:`._cext`).  Available when a
     working ``cc`` is on PATH.
 ``numpy``
     The pure-numpy reference (:mod:`._numpy`); always available.
-    This backend defines the bit pattern the other two must match.
+    This backend defines the bit pattern ``cext`` must match.
 
 Selection happens once, on first use: the ``REPRO_KERNELS``
-environment variable (``numba``, ``cext`` or ``numpy``) forces a
-backend — raising immediately if the forced backend cannot load — and
-without it the registry auto-selects the first available of
-``numba`` → ``cext`` → ``numpy``, falling through gracefully when a
-compiled backend is absent.  Callers dispatch per call via
+environment variable (``cext`` or ``numpy``) forces a backend —
+raising immediately if the forced backend cannot load — and without it
+the registry auto-selects ``cext``, falling back to ``numpy`` when no
+C compiler is available.  Callers dispatch per call via
 :func:`active`, so the test suite can pin backends with
 :func:`use_backend` without re-importing anything.
 
@@ -51,7 +46,7 @@ __all__ = [
 ]
 
 #: auto-selection preference, fastest first
-BACKEND_ORDER = ("numba", "cext", "numpy")
+BACKEND_ORDER = ("cext", "numpy")
 
 _active = None
 _load_errors: dict[str, Exception] = {}
@@ -96,7 +91,7 @@ def active():
 
 
 def backend_name() -> str:
-    """Name of the active backend: ``"numba"``, ``"cext"`` or ``"numpy"``."""
+    """Name of the active backend: ``"cext"`` or ``"numpy"``."""
     return active().name
 
 

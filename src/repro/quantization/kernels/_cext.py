@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ..workspace import EncodeWorkspace
 from . import _numpy
 
 name = "cext"
@@ -290,10 +291,8 @@ def unpack(
     if not _u32c(words):
         return _numpy.unpack(words, count, slot, ws, out)
     per_word = 32 // slot
-    if ws is None:
-        lanes = np.empty((words.size, per_word), dtype=np.uint32)
-    else:
-        lanes = ws.array("bitpack.unpack", (words.size, per_word), np.uint32)
+    ws = ws if ws is not None else EncodeWorkspace()
+    lanes = ws.array("bitpack.unpack", (words.size, per_word), np.uint32)
     _lib.repro_unpack(_ptr(words), words.size, slot, _ptr(lanes))
     view = lanes.reshape(-1)[:count]
     if out is None:

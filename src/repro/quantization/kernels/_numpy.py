@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..workspace import EncodeWorkspace
+
 name = "numpy"
 
 _WORD_BITS = 32
@@ -54,8 +56,7 @@ _SLOT_FOR_WIDTH = (0,) + tuple(
 
 
 def _scratch(ws, tag, shape, dtype=np.float32):
-    if ws is None:
-        return np.empty(shape, dtype=dtype)
+    ws = ws if ws is not None else EncodeWorkspace()
     return ws.array(tag, shape, dtype)
 
 

@@ -172,6 +172,32 @@ class TestCheckpointFiles:
         assert meta["step"] == 3
         assert config_from_dict(meta["config"]).scheme == "1bit"
 
+    def test_config_with_retired_workspace_field_still_resumes(
+        self, dataset, tmp_path
+    ):
+        # configs saved before the allocating exchange path was retired
+        # carry "workspace": false/true; they must still load, and a
+        # checkpoint holding one must resume onto the uninterrupted run
+        with make_trainer() as trainer:
+            reference = fit(trainer, dataset, epochs=2)
+            ref_weights = weights_of(trainer)
+        with make_trainer() as trainer:
+            fit(
+                trainer,
+                dataset,
+                epochs=1,
+                checkpoint=CheckpointPolicy(directory=tmp_path),
+            )
+        ckpt = TrainingCheckpoint.load(latest_checkpoint(tmp_path))
+        ckpt.meta["config"]["workspace"] = False
+        old = ckpt.save(tmp_path / "old-config.npz")
+        saved = json.loads(json.dumps(ckpt.meta["config"]))
+        assert config_from_dict(saved) == make_config()
+        with make_trainer() as trainer:
+            resumed = fit(trainer, dataset, epochs=2, resume_from=old)
+            res_weights = weights_of(trainer)
+        assert_same_run(reference, ref_weights, resumed, res_weights)
+
     def test_policy_validation(self, tmp_path):
         with pytest.raises(ValueError, match="every_steps"):
             CheckpointPolicy(directory=tmp_path, every_steps=0)
